@@ -22,7 +22,6 @@
 #include "obs/metrics.h"
 #include "sim/medium.h"
 #include "sim/radio.h"
-#include "sim/shard.h"
 
 // --- Counting allocator hook -------------------------------------------------
 // Replaceable global operator new/delete: every heap allocation in the
@@ -197,67 +196,6 @@ FanoutResult bench_fanout(bench::PerfReport& perf, std::size_t n,
                       stats.link_cache_misses, stats.fading_advances};
 }
 
-/// City-shard point: the dense fan-out workload routed through a sharded
-/// medium — `shards` super-cell schedulers sharing one timebase, drained
-/// by the ShardExecutor's k-way merge — against the unsharded single-heap
-/// path (`shards` = 1). Receptions are identical either way (the
-/// ShardEquivalence suite proves it); what this measures is the merge
-/// and boundary-mirror overhead the in-process sharded city pays.
-double bench_city_shard(bench::PerfReport& perf, int shards, std::size_t n,
-                        double extent_m, int rounds) {
-  sim::Scheduler primary;
-  std::vector<std::unique_ptr<sim::Scheduler>> extras;
-  std::vector<sim::Scheduler*> schedulers{&primary};
-  for (int s = 1; s < shards; ++s) {
-    extras.push_back(std::make_unique<sim::Scheduler>());
-    extras.back()->adopt_timebase(primary);
-    schedulers.push_back(extras.back().get());
-  }
-
-  sim::MediumConfig mc;
-  mc.shadowing_sigma_db = 0.0;
-  mc.shards = shards;
-  sim::Medium medium(primary, mc, /*seed=*/7);
-  if (shards > 1) medium.set_shard_schedulers(schedulers);
-  sim::ShardExecutor executor(schedulers);
-
-  Rng rng(1234);
-  std::vector<std::unique_ptr<sim::Radio>> radios;
-  radios.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sim::RadioConfig rc;
-    rc.position = {rng.uniform(0.0, extent_m), rng.uniform(0.0, extent_m)};
-    radios.push_back(std::make_unique<sim::Radio>(medium, primary, rc));
-  }
-  const std::size_t pool = std::max<std::size_t>(
-      1, std::min({std::size_t(rounds) / 20, n / 50, std::size_t{16}}));
-
-  const Bytes ppdu(64, 0xAA);
-  phy::TxVector tx;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < rounds; ++r) {
-    medium.transmit(*radios[r % pool], ppdu, tx);
-    if (shards > 1) {
-      executor.run_all();
-    } else {
-      primary.run_all();
-    }
-  }
-  const double dt = seconds_since(t0);
-  const auto& stats = medium.stats();
-  std::printf(
-      "  %5zu radios  shards=%d  %7.0f tx/s  "
-      "(%llu mirrored tx, %llu handoffs)\n",
-      n, shards, rounds / dt,
-      static_cast<unsigned long long>(stats.mirrored_tx),
-      static_cast<unsigned long long>(stats.shard_handoffs));
-  perf.add_events(executor.events_executed(), executor.now() - kSimStart);
-  char key[64];
-  std::snprintf(key, sizeof key, "city_shard_%d_tx_per_sec", shards);
-  perf.note(key, rounds / dt);
-  return rounds / dt;
-}
-
 /// One attacker streaming fake null-function frames at `n_rx` in-range
 /// station-less receivers — the inject→transmit→deliver path the battery
 /// attack lives on. `zero_copy` toggles the whole pipeline (shared
@@ -373,7 +311,7 @@ int main() {
       fanout_hits_dominate = false;
     }
   }
-  // City-shard scale: 50k radios at the same density (extent grows by
+  // City scale: 50k radios at the same density (extent grows by
   // sqrt(10)), indexed only — the brute scan at this size measures
   // nothing the 5000-point doesn't already.
   {
@@ -404,13 +342,6 @@ int main() {
       fading_lane_live = false;
     }
   }
-
-  bench::section("city shard: fan-out through the sharded medium");
-  // Same density as the 5000-radio point: 2 km square, shard cells at
-  // their 256 m default, so a 4-shard lattice interleaves ~64 super-cells
-  // and every pool member's fan-out crosses borders (mirrored tx > 0).
-  bench_city_shard(perf, /*shards=*/1, 5000, 2000.0, rounds / 10);
-  bench_city_shard(perf, /*shards=*/4, 5000, 2000.0, rounds / 10);
 
   bench::section("ppdu pipeline: 1 attacker -> 50 receivers");
   const int pipeline_frames = scale >= 1.0 ? 20000 : 2000;

@@ -141,9 +141,8 @@ int main() {
   // `pw_run --city` splits the survey into one process per district; this
   // phase measures the same split in-process: four quarter-scale district
   // surveys run back to back, then through a 4-worker SweepRunner pool.
-  // Each district is a complete Simulation over a 4-shard medium (the
-  // ShardEquivalence suite proves the shard count cannot change the
-  // survey), so the parallel phase's speedup is pure wall-clock. Both
+  // Each district is a complete, independent Simulation, so the parallel
+  // phase's speedup is pure wall-clock. Both
   // phases measure alike on a single-core box; the >=2.5x shows up on the
   // multi-core bench-regression runner. Notes are throughput-style
   // (*_per_sec) so bench_compare gates them, plus the procs count so it
@@ -157,7 +156,6 @@ int main() {
         scenario::CityPlan::grid_route(2, 500), district_cfg);
     sim::SimulationConfig district_sc{
         .seed = static_cast<std::uint64_t>(3000 + k)};
-    district_sc.medium.shards = 4;
     district_sc.medium.position_quantum_m = 4.0;
     if (std::getenv("PW_NO_INDEX")) {
       district_sc.medium.use_spatial_index = false;
@@ -168,7 +166,7 @@ int main() {
     return district_sim.medium().stats().transmissions;
   };
 
-  bench::section("district scale-out (4 districts, 4-shard media)");
+  bench::section("district scale-out (4 districts)");
   const auto t_seq = std::chrono::steady_clock::now();
   std::uint64_t district_tx = 0;
   for (std::size_t k = 0; k < districts; ++k) district_tx += run_district(k);

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/flags.h"
 #include "runtime/perf_report.h"
 
 namespace politewifi::bench {
@@ -37,12 +38,18 @@ inline void section(const std::string& name) {
 
 /// Reads a scale override from the environment (PW_SCALE), used by the
 /// expensive benches to allow quick runs: PW_SCALE=0.05 bench_table2...
+/// A malformed or non-positive value exits 2 with a named error instead
+/// of silently running at some other scale.
 inline double env_scale(double default_scale) {
-  if (const char* s = std::getenv("PW_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0) return v;
+  const char* s = std::getenv("PW_SCALE");
+  if (s == nullptr || *s == '\0') return default_scale;
+  double v = 0.0;
+  if (!common::parse_double(s, &v) || v <= 0.0) {
+    std::fprintf(stderr, "PW_SCALE: expected a positive number, got \"%s\"\n",
+                 s);
+    std::exit(2);
   }
-  return default_scale;
+  return v;
 }
 
 inline void kv(const char* key, const std::string& value) {

@@ -5,8 +5,8 @@
 //  * a **static geometry term** — log-distance path loss plus a
 //    deterministic per-link lognormal shadowing draw. A pure function of
 //    (frequency, distance, link identity), so every cache layer above
-//    (the medium's link cache, its SoA fan-out lanes, the per-shard
-//    memos) may memoize it for as long as the geometry holds.
+//    (the medium's link cache, its SoA fan-out lanes, the FER memo)
+//    may memoize it for as long as the geometry holds.
 //
 //  * a **dynamic fading term** — an AR(1) process in dB,
 //    x_n = rho * x_{n-1} + sigma * sqrt(1 - rho^2) * z_n, sampled once
@@ -14,7 +14,7 @@
 //    counter-based RNG stream keyed by (link, seed, interval), and the
 //    chain restarts from its stationary distribution at fixed block
 //    boundaries, so x_n is a *pure function* of (link key, interval):
-//    any evaluation order, shard count, or cache state replays the
+//    any evaluation order or cache state replays the
 //    identical value bit for bit. Incremental state (FadingState) is
 //    only ever a cache of that function.
 //
@@ -52,8 +52,8 @@ class ChannelModel {
   /// Incremental AR(1) state for one link: the last interval the chain
   /// was advanced to and its value there. Purely a cache — advancing
   /// from here replays exactly the samples a from-scratch evaluation
-  /// walks through — so state may be discarded (cache collision, shard
-  /// migration) at any time without changing any returned value.
+  /// walks through — so state may be discarded (cache collision, cache
+  /// growth) at any time without changing any returned value.
   struct FadingState {
     std::uint64_t interval = 0;
     double value_db = 0.0;

@@ -23,7 +23,7 @@ struct CityDriverOptions {
   int processes = 4;
   bool smoke = false;
   /// Experiment flags forwarded verbatim to every child (--seed,
-  /// --scale, --districts, --shards). --district is the driver's.
+  /// --scale, --districts). --district is the driver's.
   std::vector<common::Flag> forwarded;
   /// --json / --metrics destinations for the reduced document (same
   /// semantics as a plain run; nullopt = not requested).

@@ -502,70 +502,4 @@ int pw_run_main(int argc, char** argv) {
   return exit_code;
 }
 
-int example_main(const std::string& name, int argc, char** argv,
-                 const std::vector<std::string>& positional_params) {
-  register_builtin_experiments();
-  const auto usage = [&](const std::string& message) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), message.c_str());
-    std::string line = "usage: " + name;
-    for (const auto& p : positional_params) line += " [<" + p + ">]";
-    line += " [--<param>=<value> ...] [--seed=N] [--json[=PATH]]";
-    line += " [--metrics[=PATH]] [--timeline[=PATH]]";
-    std::fprintf(stderr, "%s\n", line.c_str());
-    std::fprintf(stderr,
-                 "(same experiment as `pw_run %s`; see pw_run --list)\n",
-                 name.c_str());
-    return 2;
-  };
-
-  std::string parse_error;
-  const auto parsed = common::parse_args(argc, argv, &parse_error);
-  if (!parsed.has_value()) return usage(parse_error);
-  if (parsed->positionals.size() > positional_params.size()) {
-    return usage("too many arguments");
-  }
-
-  std::vector<common::Flag> flags;
-  for (std::size_t i = 0; i < parsed->positionals.size(); ++i) {
-    flags.push_back(common::Flag{positional_params[i],
-                                 parsed->positionals[i]});
-  }
-  const bool smoke = parsed->has_flag("smoke");
-  std::optional<std::string> json_arg;
-  std::optional<std::string> metrics_arg;
-  std::optional<std::string> timeline_arg;
-  for (const auto& flag : parsed->flags) {
-    if (flag.name == "smoke") continue;
-    if (flag.name == "json") {
-      json_arg = flag.value.value_or("");
-      continue;
-    }
-    if (flag.name == "metrics") {
-      metrics_arg = flag.value.value_or("");
-      continue;
-    }
-    if (flag.name == "timeline") {
-      timeline_arg = flag.value.value_or("");
-      continue;
-    }
-    flags.push_back(flag);
-  }
-  RunOptions options;
-  options.metrics = metrics_arg.has_value();
-  options.timeline = options.metrics || timeline_arg.has_value();
-
-  const auto result = run_experiment(name, flags, smoke, options);
-  if (result.exit_code == 2) return usage(result.error);
-  int exit_code = result.exit_code;
-  if (json_arg.has_value() &&
-      !write_json(name, result.json, *json_arg, /*force_dir=*/false)) {
-    exit_code = 1;
-  }
-  if (!write_obs_outputs(name, result, metrics_arg, timeline_arg,
-                         /*force_dir=*/false)) {
-    exit_code = 1;
-  }
-  return exit_code;
-}
-
 }  // namespace politewifi::runtime

@@ -27,15 +27,6 @@
 // receivers of a transmission instead of copied per receiver, and the
 // per-receiver reception lists are pruned amortized (when they double)
 // instead of on every push.
-//
-// City scale (the sharded medium): with MediumConfig::shards > 1 the
-// plane is partitioned into super-cells, each homed on its own
-// Scheduler (shared timebase — see sim/shard.h) with its own link/FER
-// memo. Transmissions schedule their events on the sender's shard;
-// legacy per-receiver deliveries land on the receiver's shard (the
-// boundary mirror), and movers migrate shards at cell-exit horizons
-// computed from their mobility model. Byte-identical to shards = 1 by
-// construction; the ShardEquivalence suite enforces it.
 #pragma once
 
 #include <functional>
@@ -126,17 +117,6 @@ struct MediumConfig {
   /// station-observable byte are identical (FanoutEquivalence
   /// property-tests this).
   bool soa_fanout = true;
-  /// Spatial super-cell shards. 1 = the unsharded reference path (one
-  /// scheduler, one memo). > 1 partitions the plane into shard_cell_m
-  /// super-cells interleaved over an nx × ny shard lattice; the owner
-  /// must wire one Scheduler per shard (sharing the primary's timebase)
-  /// through set_shard_schedulers before attaching radios. Every shard
-  /// count yields byte-identical simulations — events merge in global
-  /// (time, seq) order — which ShardEquivalence property-tests for
-  /// 1/2/4/9.
-  int shards = 1;
-  /// Edge length (metres) of one shard super-cell.
-  double shard_cell_m = 256.0;
   /// Mover position epsilon: set_position only refreshes the RF anchor
   /// (and so invalidates cached link budgets) once the radio has
   /// drifted more than this many metres from it. 0 = off, the exact
@@ -219,26 +199,6 @@ class Medium {
   const MediumConfig& config() const { return config_; }
   Scheduler& scheduler() { return scheduler_; }
 
-  // --- Sharding (see sim/shard.h and DESIGN.md) -----------------------------
-
-  /// Wires the per-shard schedulers (index = shard id). Required before
-  /// any radio attaches when config().shards > 1; `schedulers[0]` must
-  /// be the constructor's scheduler and the others must share its
-  /// timebase (Scheduler::adopt_timebase).
-  void set_shard_schedulers(std::vector<Scheduler*> schedulers);
-  /// The scheduler homing shard `shard` (0 when unsharded).
-  Scheduler& shard_scheduler(std::uint64_t shard) const;
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shard_schedulers_.size());
-  }
-  /// Shard owning position `p`: super-cells interleave over the nx × ny
-  /// shard lattice, so no world bounds are needed.
-  std::uint32_t shard_of(const Position& p) const;
-  /// Recomputes `radio`'s cell-exit horizon from its speed: shard checks
-  /// are skipped until the radio could possibly have left its current
-  /// super-cell. Pure optimization — assignment never affects bytes.
-  void refresh_shard_horizon(Radio& radio, double speed_mps) const;
-
   /// The medium's PPDU buffer pool. Radios draw their outgoing payload
   /// buffers here so every buffer in one simulation recycles through a
   /// single free list.
@@ -299,20 +259,15 @@ class Medium {
     /// Delivery events actually scheduled (batched fan-out folds every
     /// same-arrival-time reception of a transmission into one).
     std::uint64_t delivery_events = 0;
-    /// Sharding: radios migrated to another shard at a cell-exit
-    /// horizon, and transmissions whose fan-out crossed a shard border
-    /// (mirrored into a foreign shard's event stream).
-    std::uint64_t shard_handoffs = 0;
-    std::uint64_t mirrored_tx = 0;
     /// AR(1) fading: samples actually drawn (stationary restarts plus
     /// chain steps) vs evaluations served straight from a link's cached
     /// fading state without drawing anything. The *values* are pure
     /// functions of (link, interval) — these counters only describe how
-    /// much work the lazy advance did, so they are shard- and
-    /// schedule-dependent (ShardEquivalence carves them out).
+    /// much work the lazy advance did, so they are cache- and
+    /// schedule-dependent.
     std::uint64_t fading_advances = 0;
     std::uint64_t fading_cache_hits = 0;
-    /// Peak number of links holding live fading state across all shards.
+    /// Peak number of links holding live fading state.
     std::uint64_t fading_links_peak = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -413,8 +368,7 @@ class Medium {
   void batched_frame_error_rates(const phy::PhyRate& rate,
                                  std::size_t octets,
                                  std::span<const double> sinr_db,
-                                 std::span<double> fer_out,
-                                 std::uint32_t shard) const;
+                                 std::span<double> fer_out) const;
 
   void finalize_reception(Radio* receiver, std::uint64_t reception_id,
                           const frames::PpduRef& ppdu,
@@ -459,13 +413,12 @@ class Medium {
   /// bit-transparent.)
   double raw_link_gain_db(const Radio& tx_radio, const Radio& rx_radio) const;
   /// The dynamic fading term for the (a, b) link at coherence interval
-  /// `interval`, served through shard `shard`'s fading-state lines: a
-  /// line holding this link at this interval is a pure cache hit;
-  /// anything else advances (or restarts) the AR(1) chain. The returned
-  /// value is a pure function of (pair key, interval) regardless of
-  /// cache state, which is what keeps every shard count byte-identical.
+  /// `interval`, served through the fading-state lines: a line holding
+  /// this link at this interval is a pure cache hit; anything else
+  /// advances (or restarts) the AR(1) chain. The returned value is a
+  /// pure function of (pair key, interval) regardless of cache state.
   double link_fading_db(const Radio& a, const Radio& b,
-                        std::uint64_t interval, std::uint32_t shard) const;
+                        std::uint64_t interval) const;
   /// One sender's slice of audit_coherence: its grid residency and (when
   /// valid) its cached neighbor list vs the brute-force reception set.
   void audit_radio(const Radio& radio) const;
@@ -478,16 +431,9 @@ class Medium {
   /// exact (rate, SINR bit pattern, size) triple. Static links see the
   /// same SINR frame after frame, so the erfc/pow chain runs once per
   /// distinct link instead of once per reception. Pure memoization: a hit
-  /// returns exactly the double a fresh computation would. `shard`
-  /// selects the transmitter's memo (always 0 when unsharded).
+  /// returns exactly the double a fresh computation would.
   double cached_frame_error_rate(const phy::PhyRate& rate, double sinr_db,
-                                 std::size_t octets,
-                                 std::uint32_t shard) const;
-  /// Homes `radio` on the shard owning its RF anchor (attach and
-  /// post-horizon moves); rebinds its scheduler.
-  void maybe_migrate_shard(Radio& radio);
-  /// The scheduler homing `radio`'s shard (== scheduler_ unsharded).
-  Scheduler& scheduler_for(const Radio& radio) const;
+                                 std::size_t octets) const;
 
   std::int32_t cell_coord(double v) const;
   std::uint64_t cell_key_for(const Position& p) const;
@@ -501,11 +447,6 @@ class Medium {
 
   Scheduler& scheduler_;
   MediumConfig config_;
-  /// Shard id -> scheduler; {&scheduler_} when unsharded. Shard lattice
-  /// factorization shard = ix mod nx + nx * (iy mod ny).
-  std::vector<Scheduler*> shard_schedulers_;
-  std::uint32_t shard_nx_ = 1;
-  std::uint32_t shard_ny_ = 1;
   mutable Rng rng_;
   std::uint64_t seed_;
   /// Static-geometry + dynamic-fading math (see phy/channel_model.h).
@@ -537,20 +478,17 @@ class Medium {
     std::uint32_t packed = 0;  // (octets << 1) | dsss bit
     std::int32_t ndbps = 0;
   };
-  /// One shard's link-budget + FER memo. Lookups key off the
-  /// transmitter's shard so a shard only touches its own lines (cache
-  /// locality is the point of sharding); pure memoization either way,
-  /// so the split never changes a returned double.
   /// One link's cached AR(1) fading chain position (see
   /// phy::ChannelModel::FadingState). Keyed by the order-independent
   /// pair key; 0 = empty. Purely a cache of the pure fading function,
-  /// so a collision overwriting a line (or a shard split partitioning
-  /// the lines differently) never changes a returned value — only how
-  /// many samples the next advance has to draw.
+  /// so a collision overwriting a line never changes a returned value —
+  /// only how many samples the next advance has to draw.
   struct FadingLine {
     std::uint64_t key = 0;
     phy::ChannelModel::FadingState state;
   };
+  /// The link-budget, FER and fading memo: pure memoization, so no
+  /// lookup ever changes a returned double.
   struct LinkMemo {
     /// Link-budget cache lines (power-of-two count). Direct-mapped mode
     /// indexes hash & mask; set-associative mode treats lines 2s and
@@ -567,7 +505,7 @@ class Medium {
     std::vector<FadingLine> fading_lines;
     std::uint64_t fading_mask = 0;
   };
-  mutable std::vector<LinkMemo> memos_;  // one per shard; [0] unsharded
+  mutable LinkMemo memo_;
   /// Receiver noise floor — a constant of the medium config, hoisted out
   /// of the per-reception SINR math.
   double noise_mw_ = 0.0;
@@ -580,7 +518,7 @@ class Medium {
   };
   mutable RangeMemo range_memo_[8];
   mutable unsigned range_memo_next_ = 0;
-  /// Links currently holding live fading state across all shards (the
+  /// Links currently holding live fading state (the
   /// fading_links_peak gauge tracks its high-water mark). Reset when
   /// cache growth drops the lines.
   mutable std::uint64_t fading_links_live_ = 0;

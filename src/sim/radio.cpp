@@ -4,7 +4,7 @@ namespace politewifi::sim {
 
 Radio::Radio(Medium& medium, Scheduler& scheduler, RadioConfig config)
     : medium_(medium),
-      scheduler_(&scheduler),
+      scheduler_(scheduler),
       config_(config),
       position_(config.position),
       rf_position_(config.position),
@@ -12,8 +12,8 @@ Radio::Radio(Medium& medium, Scheduler& scheduler, RadioConfig config)
       id_(medium.allocate_radio_id()) {
   energy_.set_timeline_ids(medium.timeline_group(),
                            static_cast<std::int64_t>(id_));
-  energy_.set_state(RadioState::kIdle, scheduler_->now());
-  medium_.attach(this);  // homes the radio on its shard (rebinds scheduler_)
+  energy_.set_state(RadioState::kIdle, scheduler_.now());
+  medium_.attach(this);
 }
 
 Radio::~Radio() { medium_.detach(this); }
@@ -28,10 +28,6 @@ void Radio::set_position(const Position& p) {
   rf_position_ = p;
   ++geometry_version_;
   medium_.on_radio_moved(*this);
-}
-
-void Radio::update_shard_horizon(double speed_mps) {
-  medium_.refresh_shard_horizon(*this, speed_mps);
 }
 
 void Radio::set_channel(int channel) {
@@ -65,7 +61,7 @@ void Radio::deliver(const Bytes& ppdu, const phy::RxVector& rx) {
 void Radio::set_sleeping(bool sleeping) {
   if (sleeping_ == sleeping) return;
   sleeping_ = sleeping;
-  const TimePoint now = scheduler_->now();
+  const TimePoint now = scheduler_.now();
   if (sleeping_) {
     rx_nesting_ = 0;
     energy_.set_state(RadioState::kSleep, now);

@@ -1,9 +1,8 @@
 // Channel-model tests: the static/dynamic decomposition, the AR(1)
 // fading stream's purity and moments, and the ChannelEquivalence
 // property — `fading_rho = 0` must be byte-identical to the memoryless
-// channel across every engine configuration (sharded/unsharded × SoA
-// fan-out on/off), all the way up to the survey document the runtime
-// publishes.
+// channel with SoA fan-out on and off, all the way up to the survey
+// document the runtime publishes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -195,12 +194,11 @@ struct EngineFingerprint {
 };
 
 /// A compact mixed scenario with marginal links: static population
-/// spread across several 150 m super-cells plus a walking injector, with
+/// spread across a 400 m square plus a walking injector, with
 /// shadowing and frame errors ON, so an up- or down-fade that leaked
 /// through a supposedly dormant fading term would flip FER draws,
 /// detection edges, energies and trace bytes.
 EngineFingerprint run_channel_scenario(sim::MediumConfig mc) {
-  mc.shard_cell_m = 150.0;
   sim::Simulation sim({.medium = mc, .seed = 314});
   sim::TraceRecorder& recorder = sim.trace();
 
@@ -256,19 +254,15 @@ TEST(ChannelEquivalence, RhoZeroIsByteIdenticalToTheMemorylessChannel) {
   const EngineFingerprint baseline = run_channel_scenario({});
   ASSERT_FALSE(baseline.trace.empty());
 
-  for (const int shards : {1, 4}) {
-    for (const bool soa : {true, false}) {
-      sim::MediumConfig mc;
-      mc.shards = shards;
-      mc.soa_fanout = soa;
-      mc.fading_rho = 0.0;  // the off-switch under test
-      // Deliberately loud dormant knobs: with rho = 0 they must be
-      // completely inert, not merely small.
-      mc.fading_sigma_db = 9.0;
-      mc.fading_coherence_us = 50.0;
-      EXPECT_EQ(run_channel_scenario(mc), baseline)
-          << "shards=" << shards << " soa_fanout=" << soa;
-    }
+  for (const bool soa : {true, false}) {
+    sim::MediumConfig mc;
+    mc.soa_fanout = soa;
+    mc.fading_rho = 0.0;  // the off-switch under test
+    // Deliberately loud dormant knobs: with rho = 0 they must be
+    // completely inert, not merely small.
+    mc.fading_sigma_db = 9.0;
+    mc.fading_coherence_us = 50.0;
+    EXPECT_EQ(run_channel_scenario(mc), baseline) << "soa_fanout=" << soa;
   }
 }
 

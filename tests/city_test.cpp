@@ -1,9 +1,8 @@
 // City-scale reduction equivalence: one child document per district,
 // reduced by runtime/city_reduce, must be *byte-identical* to the
 // in-process `pw_run city` document — including the merged `metrics`
-// block — for both the unsharded and the sharded medium. This is the
-// in-process face of the CI `city-smoke` job (which re-proves the same
-// property across real processes via `pw_run --city`).
+// block. This is the in-process face of the CI `city-smoke` job (which
+// re-proves the same property across real processes via `pw_run --city`).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -70,28 +69,6 @@ TEST(CityReduction, ChildDocumentsReduceToTheInProcessBytes) {
   expect_reduction_matches_in_process(kQuick);
 }
 
-TEST(CityReduction, ShardedMediumReducesIdentically) {
-  auto flags = kQuick;
-  flags.push_back({"shards", "4"});
-  expect_reduction_matches_in_process(flags);
-}
-
-TEST(CityReduction, ShardingDoesNotChangeTheSurvey) {
-  // The medium-level ShardEquivalence suite proves byte-identity of the
-  // simulation; this re-proves it end to end through the experiment:
-  // only cache-efficiency metrics may differ between shard counts.
-  auto sharded_flags = kQuick;
-  sharded_flags.push_back({"shards", "4"});
-  const auto flat = run_city(kQuick);
-  const auto sharded = run_city(sharded_flags);
-  ASSERT_EQ(flat.exit_code, 0);
-  ASSERT_EQ(sharded.exit_code, 0);
-  const Json flat_doc = parse_or_die(flat.json);
-  const Json sharded_doc = parse_or_die(sharded.json);
-  EXPECT_EQ(flat_doc.find("results")->dump(),
-            sharded_doc.find("results")->dump());
-}
-
 // --- Reducer validation on synthetic documents --------------------------------
 
 Json district_entry(int k) {
@@ -110,7 +87,6 @@ Json child_doc(int k, int districts, std::int64_t seed = 77) {
   params["district"] = k;
   params["districts"] = districts;
   params["scale"] = 0.01;
-  params["shards"] = std::int64_t{1};
   Json results = Json::object();
   Json list = Json::array();
   list.push_back(district_entry(k));

@@ -51,14 +51,12 @@ struct MediumTestPeer {
     r.rf_position_ = p;  // physics anchor moves too, caches stay stale
   }
   static bool corrupt_one_current_link_cache_line(Medium& m) {
-    for (auto& memo : m.memos_) {
-      for (auto& line : memo.lines) {
-        if (line.key == 0 || line.tx_version != 0 || line.rx_version != 0) {
-          continue;  // want a line that would be served as a hit
-        }
-        line.gain_db += 1.0;
-        return true;
+    for (auto& line : m.memo_.lines) {
+      if (line.key == 0 || line.tx_version != 0 || line.rx_version != 0) {
+        continue;  // want a line that would be served as a hit
       }
+      line.gain_db += 1.0;
+      return true;
     }
     return false;
   }

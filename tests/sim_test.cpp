@@ -1,11 +1,12 @@
 // Simulator substrate tests: scheduler ordering/cancellation, energy
-// accounting, medium propagation/carrier-sense/collisions, trace capture
-// and mobility.
+// accounting, medium propagation/carrier-sense/collisions, trace capture,
+// mobility and the RF-anchor position quantum.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <sstream>
 
+#include "core/injector.h"
 #include "sim/mobility.h"
 #include "sim/network.h"
 
@@ -404,6 +405,86 @@ TEST(Simulation, EstablishInstantlyCreatesWorkingLink) {
   client.client()->send_msdu(Bytes{1, 2, 3});
   sim.run_for(milliseconds(50));
   EXPECT_EQ(ap.ap()->stats().msdus_received, 1u);
+}
+
+// --- RF-anchor position quantum ----------------------------------------------
+
+TEST(PositionQuantum, AnchorSnapsOnlyPastTheQuantum) {
+  sim::MediumConfig mc;
+  mc.position_quantum_m = 4.0;
+  sim::Simulation sim({.medium = mc, .seed = 5});
+  sim::RadioConfig rc;
+  rc.position = {0.0, 0.0};
+  sim::Device& dev = sim.add_device({.name = "m"}, {0x02, 0, 0, 0, 0, 2}, rc);
+  sim::Radio& radio = dev.radio();
+
+  // Sub-quantum drift: the true position tracks, the RF anchor holds.
+  radio.set_position({1.5, 0.0});
+  EXPECT_EQ(radio.position(), (Position{1.5, 0.0}));
+  EXPECT_EQ(radio.rf_position(), (Position{0.0, 0.0}));
+
+  radio.set_position({3.9, 0.0});
+  EXPECT_EQ(radio.rf_position(), (Position{0.0, 0.0}));
+
+  // Past the quantum: the anchor snaps to the true position (not to a
+  // lattice), so the error is bounded by the quantum at all times.
+  radio.set_position({4.5, 0.0});
+  EXPECT_EQ(radio.rf_position(), (Position{4.5, 0.0}));
+
+  // The medium's caches and spatial index must stay coherent with the
+  // anchor (audit recomputes everything from rf_position).
+  sim.medium().audit_coherence();
+}
+
+TEST(PositionQuantum, ImprovesLinkCacheHitRateUnderMobility) {
+  const auto run = [](double quantum) {
+    sim::MediumConfig mc;
+    mc.position_quantum_m = quantum;
+    sim::Simulation sim({.medium = mc, .seed = 77});
+    std::vector<sim::Device*> targets;
+    Rng layout(77);
+    for (int i = 0; i < 12; ++i) {
+      sim::RadioConfig rc;
+      rc.position = {layout.uniform(-120.0, 120.0),
+                     layout.uniform(-120.0, 120.0)};
+      targets.push_back(&sim.add_device(
+          {.name = "t" + std::to_string(i)},
+          {0x5e, 0x22, 0x33, 0x44, 0x55, std::uint8_t(i)}, rc));
+    }
+    sim::RadioConfig rig;
+    rig.position = {-140.0, 0.0};
+    sim::Device& walker = sim.add_device(
+        {.name = "walker", .kind = sim::DeviceKind::kAttacker},
+        {0x02, 0xaa, 0xbb, 0xcc, 0xdd, 0x01}, rig);
+    core::FakeFrameInjector injector(walker);
+    // Wardrive-like micro-steps: ~1 m per tick, transmitting as it goes.
+    // With quantum 0 every step invalidates every cached link of the
+    // walker; with a 4 m quantum the anchor (and the cache) survives ~4
+    // consecutive steps.
+    sim::WaypointMover mover(walker.radio(), sim.scheduler(),
+                             {{-140.0, 0.0}, {140.0, 0.0}}, 10.0,
+                             milliseconds(100));
+    mover.start();
+    for (int step = 0; step < 280; ++step) {
+      injector.inject_one(targets[step % 12]->address());
+      sim.run_for(milliseconds(100));
+    }
+    sim.medium().audit_coherence();
+    const auto& st = sim.medium().stats();
+    return std::pair<double, double>(
+        double(st.link_cache_hits),
+        double(st.link_cache_hits + st.link_cache_misses));
+  };
+  const auto [hits_q0, total_q0] = run(0.0);
+  const auto [hits_q4, total_q4] = run(4.0);
+  ASSERT_GT(total_q0, 0.0);
+  ASSERT_GT(total_q4, 0.0);
+  const double rate_q0 = hits_q0 / total_q0;
+  const double rate_q4 = hits_q4 / total_q4;
+  EXPECT_GT(rate_q4, rate_q0)
+      << "quantized RF anchor should lift the mobile hit rate";
+  EXPECT_GE(rate_q4, 0.6) << "hit rate " << rate_q4
+                          << " under micro-mobility with a 4 m quantum";
 }
 
 }  // namespace

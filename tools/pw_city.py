@@ -8,7 +8,7 @@ bounded process pool, then delegates the reduction to
 single-process `pw_run city` run — CI enforces it.
 
     tools/pw_city.py --smoke --processes 4 --json city.json
-    tools/pw_city.py --districts 8 --scale 0.2 --shards 4 --json city.json
+    tools/pw_city.py --districts 8 --scale 0.2 --json city.json
 
 Anything this script does not recognize is forwarded to the children
 verbatim (e.g. --seed=123).
