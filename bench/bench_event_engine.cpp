@@ -367,9 +367,9 @@ int main() {
   obs::Registry::set_enabled(true);
   bench_fanout(perf, 500, 2000.0, /*use_index=*/true, /*rounds=*/200,
                /*fading_coherence_us=*/0.0, /*note_perf=*/false);
-  // Long-coherence fading pass: a pool member's turns recur inside one
-  // coherence interval, so the AR(1) lanes serve real cache hits and
-  // bench_compare's fading_cache_hit_rate pair gets data to gate.
+  // Long-coherence fading pass: pins the fading draw count
+  // (sim.medium.fading_advances) in the harvested block, a deterministic
+  // figure that any change to the fading layer's cost moves.
   bench_fanout(perf, 500, 2000.0, /*use_index=*/true, /*rounds=*/200,
                /*fading_coherence_us=*/2000.0, /*note_perf=*/false);
   bench_ppdu_pipeline(perf, /*zero_copy=*/true, 50, 2000,

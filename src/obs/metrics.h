@@ -76,9 +76,7 @@ namespace politewifi::obs {
   X(kMediumPpduBytesCopied, "sim.medium.ppdu_bytes_copied", "octets",         \
     "payload octets copied post-transmit (copy-on-corrupt only)")             \
   X(kMediumFadingAdvances, "sim.medium.fading_advances", "samples",           \
-    "AR(1) fading samples drawn (stationary restarts + chain steps)")         \
-  X(kMediumFadingCacheHits, "sim.medium.fading_cache_hits", "lookups",        \
-    "fading evaluations served from a link's cached chain position")          \
+    "fading Gaussian draws (anchors + bridge midpoints)")                     \
   X(kPpduPoolReuses, "sim.ppdu_pool.reuses", "buffers",                       \
     "PPDU buffers recycled from the pool free list")                          \
   X(kPpduPoolAllocations, "sim.ppdu_pool.allocations", "buffers",             \
@@ -118,8 +116,6 @@ namespace politewifi::obs {
   X(kMediumLinkCacheGeneration, "sim.medium.link_cache_generation",           \
     "generations",                                                            \
     "link/FER cache (re)allocations — growth drops the old contents")         \
-  X(kMediumFadingLinksPeak, "sim.medium.fading_links_peak", "links",          \
-    "peak links holding live AR(1) fading state")                             \
   X(kCampaignQueueDepthPeak, "runtime.campaign.queue_depth_peak", "jobs",     \
     "peak queued-but-undispatched jobs in one campaign invocation")
 

@@ -17,7 +17,7 @@ namespace {
 /// unrelated region of counter space.
 constexpr std::uint64_t kFadingSalt = 0x8f1d2ab04c96e35dULL;
 
-/// Counter stride between successive innovations. Odd and avalanche-
+/// Counter stride between successive intervals' draws. Odd and avalanche-
 /// friendly (the splitmix golden-ratio increment), so n -> base + n *
 /// stride never collides with the paired counter k + 1 of another n.
 constexpr std::uint64_t kCounterStride = 0x9e3779b97f4a7c15ULL;
@@ -44,9 +44,18 @@ ChannelModel::ChannelModel(ChannelParams params, std::uint64_t seed)
            "fading sigma must be non-negative");
   PW_CHECK(!fading_enabled() || params_.fading.coherence_ns > 0,
            "fading needs a positive coherence interval");
-  innovation_scale_db_ =
-      params_.fading.sigma_db *
-      std::sqrt(1.0 - params_.fading.rho * params_.fading.rho);
+  if (!fading_enabled()) return;
+  // T is the first level whose span decorrelates the process below one
+  // part in 2^53: anchors that far apart are drawn independently, and
+  // the correlation that drops is smaller than a double can carry.
+  for (double r = params_.fading.rho; r >= 0x1p-53; r *= r) {
+    const double r2 = r * r;
+    const double spread = std::sqrt((1.0 - r) * (1.0 + r) / (1.0 + r2));
+    bridge_.push_back(
+        BridgeLevel{r / (1.0 + r2), params_.fading.sigma_db * spread});
+  }
+  PW_CHECK(bridge_.size() < 64, "fading rho %.17g needs a bridge deeper "
+           "than 63 levels", params_.fading.rho);
 }
 
 double ChannelModel::reference_loss_db(double frequency_hz) const {
@@ -94,41 +103,46 @@ double ChannelModel::gaussian(std::uint64_t k) {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
-double ChannelModel::innovation(std::uint64_t link_key,
-                                std::uint64_t n) const {
-  const std::uint64_t base = splitmix(link_key ^ seed_ ^ kFadingSalt);
-  return gaussian(base + n * kCounterStride);
-}
-
-double ChannelModel::advance(FadingState& state, std::uint64_t link_key,
-                             std::uint64_t interval,
-                             std::uint64_t* steps_out) const {
+double ChannelModel::fading_db(std::uint64_t link_key, std::uint64_t interval,
+                               std::uint64_t* draws_out) const {
   if (!fading_enabled()) return 0.0;
-  const std::uint64_t restart =
-      (interval / kBlockIntervals) * kBlockIntervals;
-  std::uint64_t n;
-  double x;
-  if (state.valid && state.interval <= interval && state.interval >= restart) {
-    if (state.interval == interval) return state.value_db;  // pure hit
-    // Continue the chain: stepping from a cached sample replays exactly
-    // the tail of the from-scratch fold, so incremental and cold
-    // evaluations are bit-identical.
-    n = state.interval;
-    x = state.value_db;
-  } else {
-    // Stationary restart at the block boundary: x_restart = sigma * z.
-    n = restart;
-    x = params_.fading.sigma_db * innovation(link_key, restart);
-    if (steps_out != nullptr) ++*steps_out;
+  // z_n: interval n's own standard normal. Each interval is drawn once
+  // by construction (as an anchor or as its segment's midpoint), so one
+  // counter per interval keeps every draw independent.
+  const std::uint64_t base = splitmix(link_key ^ seed_ ^ kFadingSalt);
+  const auto z = [base](std::uint64_t n) {
+    return gaussian(base + n * kCounterStride);
+  };
+  const double sigma = params_.fading.sigma_db;
+  std::size_t level = bridge_.size();
+  std::uint64_t lo = (interval >> level) << level;
+  double x_lo = sigma * z(lo);
+  if (lo == interval) {
+    if (draws_out != nullptr) ++*draws_out;
+    return x_lo;
   }
-  const double rho = params_.fading.rho;
-  while (n < interval) {
-    ++n;
-    x = rho * x + innovation_scale_db_ * innovation(link_key, n);
-    if (steps_out != nullptr) ++*steps_out;
+  double x_hi = sigma * z(lo + (std::uint64_t{1} << level));
+  std::uint64_t draws = 2;
+  // Halve the segment [lo, lo + 2^level] around `interval` until its
+  // midpoint is the interval itself: the midpoint's law given the two
+  // ends is exact for an AR(1) (Markov) process.
+  for (;;) {
+    --level;
+    const std::uint64_t mid = lo + (std::uint64_t{1} << level);
+    const BridgeLevel& b = bridge_[level];
+    const double x_mid = b.weight * (x_lo + x_hi) + b.scale_db * z(mid);
+    ++draws;
+    if (mid == interval) {
+      if (draws_out != nullptr) *draws_out += draws;
+      return x_mid;
+    }
+    if (interval < mid) {
+      x_hi = x_mid;
+    } else {
+      lo = mid;
+      x_lo = x_mid;
+    }
   }
-  state = FadingState{interval, x, true};
-  return x;
 }
 
 }  // namespace politewifi::phy

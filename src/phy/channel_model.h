@@ -8,15 +8,21 @@
 //    (the medium's link cache, its SoA fan-out lanes, the FER memo)
 //    may memoize it for as long as the geometry holds.
 //
-//  * a **dynamic fading term** — an AR(1) process in dB,
-//    x_n = rho * x_{n-1} + sigma * sqrt(1 - rho^2) * z_n, sampled once
-//    per coherence interval of sim time. The innovations z_n come from a
-//    counter-based RNG stream keyed by (link, seed, interval), and the
-//    chain restarts from its stationary distribution at fixed block
-//    boundaries, so x_n is a *pure function* of (link key, interval):
-//    any evaluation order or cache state replays the
-//    identical value bit for bit. Incremental state (FadingState) is
-//    only ever a cache of that function.
+//  * a **dynamic fading term** — a stationary AR(1) process in dB
+//    (lag-k autocorrelation rho^k, variance sigma^2), sampled once per
+//    coherence interval of sim time and built as a dyadic
+//    Ornstein–Uhlenbeck bridge. Multiples of 2^T are anchors drawn from
+//    the stationary distribution, with T the smallest level at which
+//    rho^(2^T) < 2^-53; every other interval n is the midpoint of its
+//    level-ctz(n) dyadic segment and is drawn from the exact Gaussian
+//    conditional on the segment's two ends. Interval n's standard
+//    normal z_n comes from a counter-based RNG stream keyed by
+//    (link, seed, n), so the fade is a *stateless pure function* of
+//    (link key, interval): one evaluation descends from the two anchors
+//    in at most T + 2 draws, and any evaluation order replays the
+//    identical value bit for bit. The one approximation is that
+//    adjacent anchors are independent; the correlation that drops is
+//    below 2^-53.
 //
 // `fading.rho = 0` disables the dynamic term entirely; the model then
 // degenerates to today's memoryless channel and every byte downstream
@@ -24,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace politewifi::phy {
 
@@ -49,25 +56,6 @@ struct ChannelParams {
 
 class ChannelModel {
  public:
-  /// Incremental AR(1) state for one link: the last interval the chain
-  /// was advanced to and its value there. Purely a cache — advancing
-  /// from here replays exactly the samples a from-scratch evaluation
-  /// walks through — so state may be discarded (cache collision, cache
-  /// growth) at any time without changing any returned value.
-  struct FadingState {
-    std::uint64_t interval = 0;
-    double value_db = 0.0;
-    bool valid = false;
-  };
-
-  /// Intervals per stationary-restart block: at every multiple of this
-  /// the chain redraws from its stationary distribution instead of
-  /// continuing, bounding a cold evaluation to kBlockIntervals steps.
-  /// Within a block the autocorrelation at lag k is exactly rho^k
-  /// (across a boundary it drops to 0 — a 1/kBlockIntervals-weight
-  /// bias the moments test budgets for).
-  static constexpr std::uint64_t kBlockIntervals = 256;
-
   ChannelModel(ChannelParams params, std::uint64_t seed);
 
   const ChannelParams& params() const { return params_; }
@@ -104,22 +92,19 @@ class ChannelModel {
            static_cast<std::uint64_t>(params_.fading.coherence_ns);
   }
 
-  /// Advances `state` (for the link identified by `link_key` — use
-  /// pair_key for reciprocal fading) to `interval` and returns the
-  /// fading value there in dB. `steps_out`, when non-null, is
-  /// incremented by the number of AR(1) samples actually drawn: 0 means
-  /// the state already held this interval (a pure cache hit). A stale,
-  /// invalid, future, or cross-block state is rewound to the block's
-  /// stationary restart, so the result never depends on what the state
-  /// held before the call.
-  double advance(FadingState& state, std::uint64_t link_key,
-                 std::uint64_t interval,
-                 std::uint64_t* steps_out = nullptr) const;
+  /// The fading value in dB at (`link_key`, `interval`) — use pair_key
+  /// for reciprocal fading. A pure function: no state, no cache, the
+  /// same double whatever was evaluated before. `draws_out`, when
+  /// non-null, is incremented by the standard-normal draws consumed:
+  /// 1 at an anchor, at most anchor_level() + 2 anywhere, 0 with fading
+  /// disabled.
+  double fading_db(std::uint64_t link_key, std::uint64_t interval,
+                   std::uint64_t* draws_out = nullptr) const;
 
-  /// The pure function: fading at (link_key, interval) from scratch.
-  double fading_db(std::uint64_t link_key, std::uint64_t interval) const {
-    FadingState scratch;
-    return advance(scratch, link_key, interval);
+  /// T: anchors sit at multiples of 2^T intervals (0 with fading
+  /// disabled).
+  unsigned anchor_level() const {
+    return static_cast<unsigned>(bridge_.size());
   }
 
   // --- Shared deterministic hashing ----------------------------------------
@@ -133,13 +118,19 @@ class ChannelModel {
   /// splitmix(k), splitmix(k + 1) — the exact pattern shadowing_db uses,
   /// under a distinct key salt so the streams never alias.
   static double gaussian(std::uint64_t k);
-  /// Innovation z_n of this link's fading stream.
-  double innovation(std::uint64_t link_key, std::uint64_t n) const;
+  /// One bridge level l < T: a midpoint at half-span h = 2^l given its
+  /// segment ends is weight * (x_left + x_right) + scale_db * z, with
+  /// r = rho^h, weight = r / (1 + r^2) and
+  /// scale_db = sigma * sqrt((1 - r^2) / (1 + r^2)).
+  struct BridgeLevel {
+    double weight = 0.0;
+    double scale_db = 0.0;
+  };
 
   ChannelParams params_;
   std::uint64_t seed_;
-  /// sigma * sqrt(1 - rho^2), hoisted out of the per-sample recurrence.
-  double innovation_scale_db_ = 0.0;
+  /// Bridge levels 0 .. T-1, indexed by level; empty with fading off.
+  std::vector<BridgeLevel> bridge_;
   /// Tiny frequency -> reference-loss memo (see reference_loss_db).
   struct RefLossMemo {
     double freq_hz = 0.0;

@@ -226,16 +226,6 @@ void Medium::maybe_grow_link_cache() {
   memo_.mru.assign(want / 2, 0);  // one MRU bit per 2-line set
   memo_.fer_lines.assign(want, FerMemoEntry{});  // sinr_db NaN = empty
   memo_.fer_mask = want - 1;
-  if (channel_.fading_enabled()) {
-    // Fading state is pair-keyed (reciprocal links share a line), so
-    // half the link-cache line count covers the same population.
-    memo_.fading_lines.assign(want / 2, FadingLine{});
-    memo_.fading_mask = want / 2 - 1;
-  }
-  // Growth drops every link's cached fading chain position (the values
-  // are pure functions, so nothing observable changes — the next
-  // evaluation just restarts from a block boundary).
-  fading_links_live_ = 0;
   // Growth drops the old contents; the generation gauge makes a cache
   // that keeps reallocating (and therefore keeps missing) visible.
   ++stats_.link_cache_generation;
@@ -286,35 +276,11 @@ double Medium::raw_link_gain_db(const Radio& tx_radio,
 
 double Medium::link_fading_db(const Radio& a, const Radio& b,
                               std::uint64_t interval) const {
-  const std::uint64_t key = pair_key(a.id(), b.id());
-  phy::ChannelModel::FadingState scratch;
-  phy::ChannelModel::FadingState* state = &scratch;
-  if (!memo_.fading_lines.empty()) {
-    // Direct-mapped probe (the pair key is already a splitmix output).
-    FadingLine& line = memo_.fading_lines[key & memo_.fading_mask];
-    if (line.key != key) {
-      if (line.key == 0) {
-        // Cold fill, not a collision: one more link holds live state.
-        ++fading_links_live_;
-        if (fading_links_live_ > stats_.fading_links_peak) {
-          stats_.fading_links_peak = fading_links_live_;
-        }
-        PW_GAUGE_MAX(kMediumFadingLinksPeak, fading_links_live_);
-      }
-      line.key = key;
-      line.state = phy::ChannelModel::FadingState{};
-    }
-    state = &line.state;
-  }
-  std::uint64_t steps = 0;
-  const double fade_db = channel_.advance(*state, key, interval, &steps);
-  if (steps == 0) {
-    ++stats_.fading_cache_hits;
-    PW_COUNT(kMediumFadingCacheHits);
-  } else {
-    stats_.fading_advances += steps;
-    PW_COUNT_N(kMediumFadingAdvances, steps);
-  }
+  std::uint64_t draws = 0;
+  const double fade_db =
+      channel_.fading_db(pair_key(a.id(), b.id()), interval, &draws);
+  stats_.fading_advances += draws;
+  PW_COUNT_N(kMediumFadingAdvances, draws);
   return fade_db;
 }
 
@@ -1277,22 +1243,6 @@ void Medium::audit_coherence() const {
              line.gain_db, gain,
              static_cast<unsigned long long>(tx->second->id()),
              static_cast<unsigned long long>(rx->second->id()));
-  }
-
-  // Fading-state lines are caches of a pure function: every live line
-  // must hold exactly the value a from-scratch evaluation of its
-  // (link, interval) produces, or the incremental advance drifted off
-  // the counter-based stream.
-  for (const FadingLine& line : memo_.fading_lines) {
-    if (line.key == 0 || !line.state.valid) continue;
-    const double fresh = channel_.fading_db(line.key, line.state.interval);
-    PW_CHECK(std::bit_cast<std::uint64_t>(line.state.value_db) ==
-                 std::bit_cast<std::uint64_t>(fresh),
-             "fading line %.17g != recomputed %.17g for link key %llu at "
-             "interval %llu",
-             line.state.value_db, fresh,
-             static_cast<unsigned long long>(line.key),
-             static_cast<unsigned long long>(line.state.interval));
   }
 
   // Indexed-vs-brute-force spot check: for every attached radio the grid

@@ -70,7 +70,7 @@ struct MediumConfig {
   /// Stationary standard deviation of the fading term (dB).
   double fading_sigma_db = 2.0;
   /// Fading coherence interval in sim-time microseconds: the fade is
-  /// re-sampled once per interval (lazily, per link), constant within.
+  /// re-sampled once per interval, constant within.
   double fading_coherence_us = 1000.0;
   double cs_threshold_dbm = -82.0;      // carrier-sense busy level
   double detect_threshold_dbm = -94.0;  // below this a frame is invisible
@@ -259,16 +259,11 @@ class Medium {
     /// Delivery events actually scheduled (batched fan-out folds every
     /// same-arrival-time reception of a transmission into one).
     std::uint64_t delivery_events = 0;
-    /// AR(1) fading: samples actually drawn (stationary restarts plus
-    /// chain steps) vs evaluations served straight from a link's cached
-    /// fading state without drawing anything. The *values* are pure
-    /// functions of (link, interval) — these counters only describe how
-    /// much work the lazy advance did, so they are cache- and
-    /// schedule-dependent.
+    /// AR(1) fading: standard-normal draws taken by fading evaluations
+    /// (bridge anchors plus midpoints, at most T + 2 per evaluation —
+    /// see phy/channel_model.h). The values are pure functions of
+    /// (link, interval); this only counts the work.
     std::uint64_t fading_advances = 0;
-    std::uint64_t fading_cache_hits = 0;
-    /// Peak number of links holding live fading state.
-    std::uint64_t fading_links_peak = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -413,10 +408,8 @@ class Medium {
   /// bit-transparent.)
   double raw_link_gain_db(const Radio& tx_radio, const Radio& rx_radio) const;
   /// The dynamic fading term for the (a, b) link at coherence interval
-  /// `interval`, served through the fading-state lines: a line holding
-  /// this link at this interval is a pure cache hit; anything else
-  /// advances (or restarts) the AR(1) chain. The returned value is a
-  /// pure function of (pair key, interval) regardless of cache state.
+  /// `interval`: phy::ChannelModel::fading_db on the pair key, with the
+  /// draws it took counted into the stats.
   double link_fading_db(const Radio& a, const Radio& b,
                         std::uint64_t interval) const;
   /// One sender's slice of audit_coherence: its grid residency and (when
@@ -478,16 +471,7 @@ class Medium {
     std::uint32_t packed = 0;  // (octets << 1) | dsss bit
     std::int32_t ndbps = 0;
   };
-  /// One link's cached AR(1) fading chain position (see
-  /// phy::ChannelModel::FadingState). Keyed by the order-independent
-  /// pair key; 0 = empty. Purely a cache of the pure fading function,
-  /// so a collision overwriting a line never changes a returned value —
-  /// only how many samples the next advance has to draw.
-  struct FadingLine {
-    std::uint64_t key = 0;
-    phy::ChannelModel::FadingState state;
-  };
-  /// The link-budget, FER and fading memo: pure memoization, so no
+  /// The link-budget and FER memo: pure memoization, so no
   /// lookup ever changes a returned double.
   struct LinkMemo {
     /// Link-budget cache lines (power-of-two count). Direct-mapped mode
@@ -500,10 +484,6 @@ class Medium {
     std::vector<std::uint8_t> mru;
     std::vector<FerMemoEntry> fer_lines;  // direct-mapped, pow-2 size
     std::uint64_t fer_mask = 0;
-    /// Dynamic-fading state lines (direct-mapped, pow-2), allocated only
-    /// when fading is enabled — the rho = 0 path never touches them.
-    std::vector<FadingLine> fading_lines;
-    std::uint64_t fading_mask = 0;
   };
   mutable LinkMemo memo_;
   /// Receiver noise floor — a constant of the medium config, hoisted out
@@ -518,10 +498,6 @@ class Medium {
   };
   mutable RangeMemo range_memo_[8];
   mutable unsigned range_memo_next_ = 0;
-  /// Links currently holding live fading state (the
-  /// fading_links_peak gauge tracks its high-water mark). Reset when
-  /// cache growth drops the lines.
-  mutable std::uint64_t fading_links_live_ = 0;
   mutable std::vector<Radio*> scratch_;  // fan-out candidate buffer (reused)
   // SoA batch-pass scratch lanes, reused across transmissions (the pass
   // runs synchronously inside transmit(), so there is no re-entrancy to

@@ -1,11 +1,15 @@
 #include "sim/sweep_runner.h"
 
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <thread>
 
 #include "common/annotations.h"
+#include "common/flags.h"
 #include "common/mutex.h"
 #include "obs/metrics.h"
 
@@ -45,9 +49,16 @@ class ErrorSlot {
 }  // namespace
 
 unsigned SweepRunner::default_threads() {
-  if (const char* s = std::getenv("PW_THREADS")) {
-    const long v = std::atol(s);
-    if (v >= 1) return static_cast<unsigned>(v);
+  const char* s = std::getenv("PW_THREADS");
+  if (s != nullptr && *s != '\0') {
+    std::int64_t v = 0;
+    if (!common::parse_int64(s, &v) || v < 1 ||
+        v > std::numeric_limits<unsigned>::max()) {
+      std::fprintf(stderr,
+                   "PW_THREADS: expected a positive integer, got \"%s\"\n", s);
+      std::exit(2);
+    }
+    return static_cast<unsigned>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? hw : 1;

@@ -29,7 +29,9 @@ class SweepRunner {
   /// path produce identical results by construction.
   explicit SweepRunner(unsigned threads = default_threads());
 
-  /// PW_THREADS env override, else hardware concurrency (min 1).
+  /// PW_THREADS env override, else hardware concurrency (min 1). A set
+  /// PW_THREADS that is not a positive integer exits 2 with a named
+  /// error instead of falling back to the default.
   static unsigned default_threads();
 
   unsigned threads() const { return threads_; }

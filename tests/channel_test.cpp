@@ -1,14 +1,16 @@
 // Channel-model tests: the static/dynamic decomposition, the AR(1)
-// fading stream's purity and moments, and the ChannelEquivalence
-// property — `fading_rho = 0` must be byte-identical to the memoryless
-// channel with SoA fan-out on and off, all the way up to the survey
-// document the runtime publishes.
+// fading bridge's purity, draw budget and moments, and the
+// ChannelEquivalence property — `fading_rho = 0` must be byte-identical
+// to the memoryless channel with SoA fan-out on and off, all the way up
+// to the survey document the runtime publishes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/injector.h"
@@ -31,17 +33,16 @@ phy::ChannelParams fading_params(double rho, double sigma_db,
   return p;
 }
 
-// --- The dynamic term: AR(1) stream contract ---------------------------------
+// --- The dynamic term: AR(1) bridge contract ---------------------------------
 
 TEST(ChannelModel, FadingDisabledDrawsNothing) {
   for (const auto& ch :
        {phy::ChannelModel(fading_params(0.0, 2.0), 7),     // the off-switch
         phy::ChannelModel(fading_params(0.5, 0.0), 7)}) {  // degenerate sigma
     EXPECT_FALSE(ch.fading_enabled());
-    phy::ChannelModel::FadingState st;
-    std::uint64_t steps = 0;
-    EXPECT_EQ(ch.advance(st, 123, 42, &steps), 0.0);
-    EXPECT_EQ(steps, 0u);
+    std::uint64_t draws = 0;
+    EXPECT_EQ(ch.fading_db(123, 42, &draws), 0.0);
+    EXPECT_EQ(draws, 0u);
   }
   EXPECT_TRUE(phy::ChannelModel(fading_params(0.5, 2.0), 7).fading_enabled());
 }
@@ -49,38 +50,57 @@ TEST(ChannelModel, FadingDisabledDrawsNothing) {
 TEST(ChannelModel, FadeIsAPureFunctionOfLinkAndInterval) {
   const phy::ChannelModel ch(fading_params(0.85, 3.0, 250'000), 99);
   const std::uint64_t key = phy::ChannelModel::pair_key(5, 9);
+  const std::uint64_t other = phy::ChannelModel::pair_key(5, 10);
+  const std::uint64_t span = std::uint64_t{1} << ch.anchor_level();
 
-  // Drive one persistent state through a scrambled interval sequence —
-  // forward jumps, rewinds, block crossings, repeats. Every value must
-  // bit-equal the from-scratch evaluation: the state is only a cache.
-  phy::ChannelModel::FadingState st;
-  for (const std::uint64_t n : {700ull, 3ull, 255ull, 256ull, 257ull, 0ull,
-                                511ull, 512ull, 10ull, 10ull, 1023ull,
-                                64ull}) {
-    EXPECT_EQ(ch.advance(st, key, n), ch.fading_db(key, n))
-        << "interval " << n;
+  // Reference values from one ascending sweep over four anchor spans.
+  std::vector<double> ascending(4 * span + 1);
+  for (std::uint64_t n = 0; n < ascending.size(); ++n) {
+    ascending[n] = ch.fading_db(key, n);
+  }
+
+  // Scrambled, repeated and rewinding intervals — anchors, their
+  // neighbours, the old 256-interval block edges — interleaved with
+  // another link and evaluated on a second model instance: every value
+  // must bit-equal the ascending sweep.
+  const phy::ChannelModel twin(fading_params(0.85, 3.0, 250'000), 99);
+  const std::uint64_t order[] = {700,      3,   255, 256, 257, 0,
+                                 span,     span - 1,     span + 1,
+                                 511,      512, 10,  10,  1023, 64,
+                                 4 * span, 2 * span - 1, 1,   700};
+  for (const std::uint64_t n : order) {
+    (void)ch.fading_db(other, n + 1);
+    EXPECT_EQ(ch.fading_db(key, n), ascending.at(n)) << "interval " << n;
+    EXPECT_EQ(twin.fading_db(key, n), ascending.at(n)) << "interval " << n;
   }
 
   // A different link never aliases this stream.
-  const std::uint64_t other = phy::ChannelModel::pair_key(5, 10);
   EXPECT_NE(ch.fading_db(key, 17), ch.fading_db(other, 17));
 }
 
-TEST(ChannelModel, IncrementalAdvanceReplaysTheColdChain) {
-  const phy::ChannelModel ch(fading_params(0.9, 2.0), 4);
-  const std::uint64_t key = phy::ChannelModel::pair_key(1, 2);
-  phy::ChannelModel::FadingState st;
-  // 600 sequential intervals cross two stationary-restart boundaries
-  // (256, 512); each advance draws exactly one sample, and re-asking
-  // for the same interval is a zero-draw cache hit.
-  for (std::uint64_t n = 0; n < 600; ++n) {
-    std::uint64_t steps = 0;
-    const double inc = ch.advance(st, key, n, &steps);
-    EXPECT_EQ(steps, 1u) << "interval " << n;
-    EXPECT_EQ(inc, ch.fading_db(key, n)) << "interval " << n;
-    steps = 0;
-    EXPECT_EQ(ch.advance(st, key, n, &steps), inc);
-    EXPECT_EQ(steps, 0u) << "interval " << n;
+// T is the smallest level with rho^(2^T) < 2^-53; an evaluation takes
+// one draw at an anchor (a multiple of 2^T) and T + 2 - ctz(n) draws
+// anywhere else: the two anchors plus one midpoint per level descended.
+TEST(ChannelModel, EvaluationDrawsAtMostTPlusTwo) {
+  for (const auto& [rho, want_t] :
+       {std::pair{0.9, 9u}, std::pair{0.999, 16u}, std::pair{0.8, 8u},
+        std::pair{0.99, 12u}}) {
+    const phy::ChannelModel ch(fading_params(rho, 2.0), 5);
+    const unsigned t = ch.anchor_level();
+    EXPECT_EQ(t, want_t) << "rho " << rho;
+    EXPECT_LT(std::pow(rho, std::ldexp(1.0, int(t))), std::ldexp(1.0, -53));
+    EXPECT_GE(std::pow(rho, std::ldexp(1.0, int(t) - 1)),
+              std::ldexp(1.0, -53));
+
+    const std::uint64_t span = std::uint64_t{1} << t;
+    const std::uint64_t key = phy::ChannelModel::pair_key(1, 2);
+    for (std::uint64_t n = 0; n <= 2 * span; n += 1 + n % 7) {
+      std::uint64_t draws = 0;
+      (void)ch.fading_db(key, n, &draws);
+      const std::uint64_t want =
+          n % span == 0 ? 1u : t + 2 - unsigned(std::countr_zero(n));
+      EXPECT_EQ(draws, want) << "rho " << rho << " interval " << n;
+    }
   }
 }
 
@@ -108,49 +128,58 @@ TEST(ChannelModel, IntervalAtQuantisesSimTimeByCoherence) {
 }
 
 // Ensemble moments across independent links: the stationary variance is
-// sigma^2 and the lag-k autocorrelation is rho^k (exactly, within a
-// restart block — the block-boundary bias is ~lag/kBlockIntervals and
-// the sampled intervals below never straddle one).
+// sigma^2 everywhere and the lag-k autocorrelation is rho^k, including
+// across the intervals where the retired block-restart chain forgot its
+// past (every multiple of 256 — lag-1 correlation 0 there) and across
+// an anchor span edge of the bridge.
 TEST(ChannelModel, AR1MomentsMatchTheory) {
-  const double rho = 0.8;
-  const double sigma = 3.0;
-  const phy::ChannelModel ch(fading_params(rho, sigma), 2024);
+  constexpr double kSigma = 3.0;
   constexpr int kLinks = 4000;
-  constexpr std::uint64_t kBase = 40;  // mid-block; max lag 8 stays inside
-
-  std::vector<std::uint64_t> keys(kLinks);
-  std::vector<double> base(kLinks);
-  double sum = 0.0;
-  double sumsq = 0.0;
-  for (int i = 0; i < kLinks; ++i) {
-    keys[i] = phy::ChannelModel::pair_key(2 * i + 1, 2 * i + 2);
-    base[i] = ch.fading_db(keys[i], kBase);
-    sum += base[i];
-    sumsq += base[i] * base[i];
-  }
-  const double mean = sum / kLinks;
-  const double var = sumsq / kLinks - mean * mean;
-  // Standard errors: sigma/sqrt(N) ~= 0.047 for the mean,
-  // sigma^2 sqrt(2/N) ~= 0.20 for the variance. Bounds are ~4 sigma.
-  EXPECT_NEAR(mean, 0.0, 0.2);
-  EXPECT_NEAR(var, sigma * sigma, 0.9);
-
-  for (const std::uint64_t lag : {1u, 2u, 4u, 8u}) {
-    double mean_l = 0.0;
-    std::vector<double> lagged(kLinks);
+  for (const double rho : {0.8, 0.99}) {
+    const phy::ChannelModel ch(fading_params(rho, kSigma), 2024);
+    const std::uint64_t anchor_edge = std::uint64_t{1} << ch.anchor_level();
+    std::vector<std::uint64_t> keys(kLinks);
     for (int i = 0; i < kLinks; ++i) {
-      lagged[i] = ch.fading_db(keys[i], kBase + lag);
-      mean_l += lagged[i];
+      keys[i] = phy::ChannelModel::pair_key(2 * i + 1, 2 * i + 2);
     }
-    mean_l /= kLinks;
-    double cov = 0.0;
-    double var_l = 0.0;
-    for (int i = 0; i < kLinks; ++i) {
-      cov += (base[i] - mean) * (lagged[i] - mean_l);
-      var_l += (lagged[i] - mean_l) * (lagged[i] - mean_l);
+    for (const std::uint64_t base :
+         {std::uint64_t{40}, std::uint64_t{255}, std::uint64_t{511},
+          std::uint64_t{1023}, anchor_edge - 15}) {
+      std::vector<double> at_base(kLinks);
+      double sum = 0.0;
+      double sumsq = 0.0;
+      for (int i = 0; i < kLinks; ++i) {
+        at_base[i] = ch.fading_db(keys[i], base);
+        sum += at_base[i];
+        sumsq += at_base[i] * at_base[i];
+      }
+      const double mean = sum / kLinks;
+      const double var = sumsq / kLinks - mean * mean;
+      // Standard errors: sigma/sqrt(N) ~= 0.047 for the mean,
+      // sigma^2 sqrt(2/N) ~= 0.20 for the variance. Bounds are ~4 sigma.
+      EXPECT_NEAR(mean, 0.0, 0.2) << "rho " << rho << " base " << base;
+      EXPECT_NEAR(var, kSigma * kSigma, 0.9)
+          << "rho " << rho << " base " << base;
+
+      for (const std::uint64_t lag : {1u, 2u, 8u, 30u}) {
+        double mean_l = 0.0;
+        std::vector<double> lagged(kLinks);
+        for (int i = 0; i < kLinks; ++i) {
+          lagged[i] = ch.fading_db(keys[i], base + lag);
+          mean_l += lagged[i];
+        }
+        mean_l /= kLinks;
+        double cov = 0.0;
+        double var_l = 0.0;
+        for (int i = 0; i < kLinks; ++i) {
+          cov += (at_base[i] - mean) * (lagged[i] - mean_l);
+          var_l += (lagged[i] - mean_l) * (lagged[i] - mean_l);
+        }
+        const double corr = cov / std::sqrt((var * kLinks) * var_l);
+        EXPECT_NEAR(corr, std::pow(rho, double(lag)), 0.06)
+            << "rho " << rho << " base " << base << " lag " << lag;
+      }
     }
-    const double corr = cov / std::sqrt((var * kLinks) * var_l);
-    EXPECT_NEAR(corr, std::pow(rho, double(lag)), 0.06) << "lag " << lag;
   }
 }
 
